@@ -41,15 +41,9 @@ def counting_sort_permutation(cell_ids: np.ndarray, num_cells: int
         raise ValueError("cell id out of range for counting sort")
 
     counts = np.bincount(cell_ids, minlength=num_cells)
-    starts = np.zeros(num_cells + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-
-    order = np.empty(cell_ids.size, dtype=np.int64)
-    cursor = starts[:-1].copy()
-    # stable placement: iterate particles in storage order
-    for i, cell in enumerate(cell_ids):
-        order[cursor[cell]] = i
-        cursor[cell] += 1
+    # a stable sort keeps the storage order inside each cell, which is
+    # exactly the placement order of the counting sort's second pass
+    order = np.argsort(cell_ids, kind="stable")
     return order, counts.astype(np.int64)
 
 

@@ -106,26 +106,26 @@ class GappedPMA:
 
         self.local_index = np.full(capacity, INVALID_PARTICLE_ID, dtype=np.int64)
         self.bin_lengths = counts.astype(np.int64).copy()
-        self._empty_slots = {b: [] for b in range(self.num_bins)}
-        self._particle_bin = {}
-        self._particle_slot = {}
 
-        # place particles bin by bin, preserving their index order
+        # place particles bin by bin, preserving their index order: the
+        # particle of rank r within bin b lands on slot bin_offsets[b] + r
         order = np.argsort(particle_bins, kind="stable")
-        fill_cursor = self.bin_offsets[:-1].copy()
-        for particle in order:
-            b = int(particle_bins[particle])
-            slot = int(fill_cursor[b])
-            self.local_index[slot] = particle
-            self._particle_bin[int(particle)] = b
-            self._particle_slot[int(particle)] = slot
-            fill_cursor[b] += 1
-        # the remaining slots of each region are gaps
-        for b in range(self.num_bins):
-            start = int(fill_cursor[b])
-            end = int(self.bin_offsets[b + 1])
-            # push in reverse so that pops hand out the lowest slots first
-            self._empty_slots[b] = list(range(end - 1, start - 1, -1))
+        sorted_bins = particle_bins[order]
+        bin_starts = np.cumsum(counts) - counts
+        slots = (self.bin_offsets[sorted_bins]
+                 + np.arange(order.size) - bin_starts[sorted_bins])
+        self.local_index[slots] = order
+        particles = order.tolist()
+        self._particle_bin = dict(zip(particles, sorted_bins.tolist()))
+        self._particle_slot = dict(zip(particles, slots.tolist()))
+        # the remaining slots of each region are gaps, pushed in reverse so
+        # that pops hand out the lowest slots first
+        gap_starts = (self.bin_offsets[:-1] + counts).tolist()
+        self._empty_slots = {
+            b: list(range(end - 1, start - 1, -1))
+            for b, (start, end) in enumerate(
+                zip(gap_starts, self.bin_offsets[1:].tolist()))
+        }
 
         self.num_particles = int(particle_bins.size)
         self.num_empty_slots = capacity - self.num_particles

@@ -87,12 +87,14 @@ class IncrementalSorter:
         stats = StepSortStats(global_sorts=1)
         n = tile.num_particles
         num_cells = tile.num_cells
+        bins = np.empty(0, dtype=np.int64)
         if n > 0:
             cell_ids = tile.local_cell_ids(grid)
             order, _ = counting_sort_permutation(cell_ids, num_cells)
             tile.permute(order)
+            # cell ids are per-particle, so permuting them is recomputing them
+            bins = cell_ids[order]
         gpma = GappedPMA(num_cells, gap_fraction=self.config.gap_fraction)
-        bins = tile.local_cell_ids(grid) if n > 0 else np.empty(0, dtype=np.int64)
         build_stats = gpma.build(bins)
         # a freshly built structure does not count towards the rebuild trigger
         gpma.rebuild_count = 0

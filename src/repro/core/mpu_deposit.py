@@ -25,10 +25,11 @@ structure of a vector outer product:
 Two families of functions are provided: *per-cell* routines that drive a
 :class:`~repro.hardware.mpu.MatrixUnit` exactly as Algorithm 2 describes
 (used by the unit tests and by the examples that illustrate the mapping),
-and *per-tile batched* routines that perform the identical arithmetic with
-vectorised NumPy einsums while charging the same instruction counts (used
-by the benchmarks, where a Python loop over every pair would only measure
-interpreter overhead).
+and *per-tile batched* routines that compute the identical products for
+every particle of a tile in one node-major ``(S^3, n)`` pass while charging
+the instruction counts of the pairing (used by the deposition kernel,
+where a Python loop over every pair would only measure interpreter
+overhead).
 """
 
 from __future__ import annotations
@@ -221,85 +222,71 @@ def deposit_cell_qsp_mpu(mpu: MatrixUnit, wx: np.ndarray, wy: np.ndarray,
 # ---------------------------------------------------------------------------
 # per-tile batched paths (identical arithmetic, vectorised)
 # ---------------------------------------------------------------------------
+# An exact-zero product may come out as -0.0; the rhocell sums start at
+# +0.0, which absorbs the sign, so the accumulated currents do not see it.
+def _node_major_factors(data: TileDepositionData, order_idx: np.ndarray
+                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The x/y/z shape factors as ``(S, n)`` arrays in processing order."""
+    sx, sy, sz = (np.ascontiguousarray(w[order_idx].T)
+                  for w in (data.wx, data.wy, data.wz))
+    return sx, sy, sz
+
+
 def tile_contributions_cic(data: TileDepositionData, order_idx: np.ndarray
                            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    """Per-particle CIC nodal contributions computed through pair outer products.
+    """Per-particle CIC nodal contributions of a tile, node-major.
 
     ``order_idx`` is the processing order (e.g. the GPMA iteration order).
-    Returns three ``(n, 8)`` arrays — one per current component, rows in
+    Returns three ``(8, n)`` arrays — one per current component, row
+    ``(i * 2 + j) * 2 + k`` holding node ``(i, j, k)`` and columns in
     processing order — plus a dictionary of MPU work statistics
     (``mopa`` instructions per component, ``tile_flushes``, ``runs``).
+
+    Every entry is the value the pair's 4x8 MOPA places in the particle's
+    valid block: the A operand ``wq s_x_i`` times the B operand
+    ``s_y_j s_z_k``, so pairing only decides the instruction counts.
     """
-    cells = data.local_cell_ids[order_idx]
-    first, second, valid2, _, num_runs = pair_within_runs(cells)
+    first, _, _, _, num_runs = pair_within_runs(data.local_cell_ids[order_idx])
     n = order_idx.shape[0]
-    npairs = first.shape[0]
-
-    wx = data.wx[order_idx]
-    wy = data.wy[order_idx]
-    wz = data.wz[order_idx]
-
-    # B operand per particle: s_y_j * s_z_k packed (j fast, k slow), length 4
-    b_particle = np.einsum("pk,pj->pkj", wz, wy).reshape(n, 4)
+    sx, sy, sz = _node_major_factors(data, order_idx)
+    # B operand per particle: s_y_j * s_z_k, shape (j, k, n)
+    syz = sy[:, None, :] * sz[None, :, :]
 
     results = []
+    for wq in (data.wqx[order_idx], data.wqy[order_idx], data.wqz[order_idx]):
+        a = wq * sx                                     # A operand, (i, n)
+        results.append((a[:, None, None, :] * syz[None]).reshape(8, n))
+
     # work statistics are reported *per current component*; the hybrid
     # kernel multiplies by three when charging the counters
-    stats = {"mopa": float(npairs), "tile_flushes": float(num_runs),
+    stats = {"mopa": float(first.shape[0]), "tile_flushes": float(num_runs),
              "runs": float(num_runs)}
-    for wq_all in (data.wqx[order_idx], data.wqy[order_idx], data.wqz[order_idx]):
-        # A operands of every pair: (npairs, 4); B operands: (npairs, 8)
-        a_ops = np.zeros((npairs, 4))
-        b_ops = np.zeros((npairs, 8))
-        a_ops[:, 0:2] = wq_all[first, None] * wx[first]
-        b_ops[:, 0:4] = b_particle[first]
-        sec = second[valid2]
-        a_ops[valid2, 2:4] = wq_all[sec, None] * wx[sec]
-        b_ops[valid2, 4:8] = b_particle[sec]
-
-        # the MOPA instructions: one 4x8 outer product per pair
-        tiles = np.einsum("pi,pj->pij", a_ops, b_ops)
-
-        per_particle = np.zeros((n, 8))
-        # extract each particle's 2x4 block and reorder (i, j+2k) -> (i, j, k)
-        block1 = tiles[:, 0:2, 0:4]
-        block2 = tiles[:, 2:4, 4:8]
-        per_particle[first] = _reorder_cic_block(block1)
-        per_particle[sec] = _reorder_cic_block(block2[valid2])
-        results.append(per_particle)
-
     return results[0], results[1], results[2], stats
-
-
-def _reorder_cic_block(block: np.ndarray) -> np.ndarray:
-    """Reorder a (m, 2, 4) outer-product block to the (i, j, k) rhocell layout."""
-    m = block.shape[0]
-    reordered = np.empty((m, 2, 2, 2))
-    reordered[:, :, 0, 0] = block[:, :, 0]
-    reordered[:, :, 1, 0] = block[:, :, 1]
-    reordered[:, :, 0, 1] = block[:, :, 2]
-    reordered[:, :, 1, 1] = block[:, :, 3]
-    return reordered.reshape(m, 8)
 
 
 def tile_contributions_qsp(data: TileDepositionData, order_idx: np.ndarray
                            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    """Per-particle QSP nodal contributions via pair outer products.
+    """Per-particle QSP nodal contributions of a tile, node-major.
 
-    Returns three ``(n, 64)`` arrays plus MPU/VPU work statistics
-    (``mopa``, ``tile_flushes``, ``vpu_sz_fma`` — the Stage-2 VPU
-    multiply-accumulate by the s_z factors).
+    Returns three ``(64, n)`` arrays (row ``(i * 4 + j) * 4 + k`` holds
+    node ``(i, j, k)``, columns in processing order) plus MPU/VPU work
+    statistics (``mopa``, ``tile_flushes``, ``vpu_sz_fma`` — the Stage-2
+    VPU multiply-accumulate by the s_z factors).
+
+    Every entry is ``((wq s_x_i) s_y_j) s_z_k``: the particle's 4x4 block
+    of the pair's 8x8 MOPA, then the VPU multiply by its s_z factor.
     """
-    cells = data.local_cell_ids[order_idx]
-    first, second, valid2, _, num_runs = pair_within_runs(cells)
+    first, _, _, _, num_runs = pair_within_runs(data.local_cell_ids[order_idx])
     n = order_idx.shape[0]
     npairs = first.shape[0]
-
-    wx = data.wx[order_idx]
-    wy = data.wy[order_idx]
-    wz = data.wz[order_idx]
+    sx, sy, sz = _node_major_factors(data, order_idx)
 
     results = []
+    for wq in (data.wqx[order_idx], data.wqy[order_idx], data.wqz[order_idx]):
+        a = wq * sx                                     # A operand, (i, n)
+        sxy = a[:, None, :] * sy[None, :, :]            # MOPA block, (i, j, n)
+        results.append((sxy[:, :, None, :] * sz[None, None]).reshape(64, n))
+
     # per-component work statistics (the hybrid kernel multiplies by three)
     stats = {
         "mopa": float(npairs),
@@ -309,23 +296,4 @@ def tile_contributions_qsp(data: TileDepositionData, order_idx: np.ndarray
         "runs": float(num_runs),
         "vpu_sz_fma": float(n * 64) / 8.0,
     }
-    for wq_all in (data.wqx[order_idx], data.wqy[order_idx], data.wqz[order_idx]):
-        a_first = wq_all[first, None] * wx[first]          # (npairs, 4)
-        b_first = wy[first]                                # (npairs, 4)
-        sxy_first = np.einsum("pi,pj->pij", a_first, b_first)
-
-        per_particle = np.zeros((n, 64))
-        contrib_first = np.einsum("pij,pk->pijk", sxy_first, wz[first])
-        per_particle[first] = contrib_first.reshape(npairs, 64)
-
-        sec = second[valid2]
-        if sec.size:
-            a_sec = wq_all[sec, None] * wx[sec]
-            b_sec = wy[sec]
-            sxy_sec = np.einsum("pi,pj->pij", a_sec, b_sec)
-            contrib_sec = np.einsum("pij,pk->pijk", sxy_sec, wz[sec])
-            per_particle[sec] = contrib_sec.reshape(sec.size, 64)
-
-        results.append(per_particle)
-
     return results[0], results[1], results[2], stats

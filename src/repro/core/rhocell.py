@@ -20,7 +20,7 @@ from repro.pic.deposition.rhocell import reduce_rhocells_to_grid
 from repro.pic.grid import Grid
 from repro.pic.particles import ParticleTile
 from repro.pic.shapes import shape_support
-from repro.pic.stencil import cell_block_ids, scatter_flat
+from repro.pic.stencil import scatter_flat
 
 
 class RhocellBuffer:
@@ -50,16 +50,21 @@ class RhocellBuffer:
                    contrib_y: np.ndarray, contrib_z: np.ndarray) -> None:
         """Scatter-add per-particle nodal contributions into their cells.
 
-        ``contrib_*`` have shape ``(n, nodes_per_cell)`` and ``cell_ids``
-        maps each row to its tile-local cell.
+        ``contrib_*`` are node-major, shape ``(nodes_per_cell, n)``: column
+        ``p`` holds the contributions of the particle in cell
+        ``cell_ids[p]``.  Each component is one flat scatter pass over
+        node-major block ids, so every ``(cell, node)`` entry still sums
+        its particles in column order.
         """
         cell_ids = np.asarray(cell_ids, dtype=np.int64)
-        if contrib_x.shape != (cell_ids.shape[0], self.nodes_per_cell):
+        nodes = self.nodes_per_cell
+        if contrib_x.shape != (nodes, cell_ids.shape[0]):
             raise ValueError(
                 f"contribution shape {contrib_x.shape} does not match "
-                f"({cell_ids.shape[0]}, {self.nodes_per_cell})"
+                f"({nodes}, {cell_ids.shape[0]})"
             )
-        block_ids = cell_block_ids(cell_ids, self.nodes_per_cell)
+        block_ids = (np.arange(nodes, dtype=np.int64)[:, None]
+                     + cell_ids[None, :] * nodes)
         scatter_flat(block_ids, np.asarray(contrib_x), self.jx)
         scatter_flat(block_ids, np.asarray(contrib_y), self.jy)
         scatter_flat(block_ids, np.asarray(contrib_z), self.jz)

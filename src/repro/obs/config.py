@@ -55,8 +55,10 @@ class ObsConfig:
         Relative total-particle-charge change thresholds, same
         semantics as the energy pair.
     nan_check:
-        Guard the EM field arrays against NaN/Inf every probe (always
-        aborts on a hit — a non-finite field never recovers).
+        Guard the EM field arrays against NaN/Inf every probe, and the
+        particle positions and momenta after every step's push, before
+        migration casts them to cell indices (always aborts on a hit — a
+        non-finite field never recovers).
     health_every:
         Probe cadence in completed steps (default: every step).
     """

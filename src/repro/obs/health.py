@@ -10,6 +10,10 @@ last stage of a step, every ``health_every`` completed steps):
 * **NaN/Inf field guard** — any non-finite value in the six EM field
   arrays aborts immediately (:class:`PhysicsHealthError`); a non-finite
   field never recovers, so there is no warn level.
+* **NaN/Inf particle guard** — right after the stage that pushes the
+  particles (the one writing ``containers.momentum``), every step, any
+  non-finite position or momentum aborts the same way, before
+  ``migrate`` casts the positions to integer cell indices.
 * **Energy drift** — relative total (field + kinetic) energy change
   against the first probe; gauge ``health.energy_drift``.
 * **Charge residual** — relative total macro-particle charge change
@@ -51,6 +55,9 @@ logger = logging.getLogger("repro.obs.health")
 
 #: the EM field arrays the NaN/Inf guard scans, in storage order
 _EM_FIELDS = ("ex", "ey", "ez", "bx", "by", "bz")
+
+#: the particle arrays the NaN/Inf guard scans after the push
+_PARTICLE_FIELDS = ("x", "y", "z", "ux", "uy", "uz")
 
 
 class PhysicsHealthError(RuntimeError):
@@ -96,6 +103,8 @@ class HealthHook:
     # ------------------------------------------------------------------
     def __call__(self, stage: "Stage", ctx: "StageContext",
                  seconds: float) -> None:
+        if self.config.nan_check and "containers.momentum" in stage.writes:
+            self._guard_particles(stage, ctx)
         stages = ctx.simulation.pipeline.stages
         if not stages or stage is not stages[-1]:
             return
@@ -103,6 +112,23 @@ class HealthHook:
         if completed % self.config.health_every != 0:
             return
         self.probe(ctx, completed)
+
+    def _guard_particles(self, stage: "Stage", ctx: "StageContext") -> None:
+        """Abort on a non-finite particle position or momentum.
+
+        Runs after the push of every step, not on the probe cadence: the
+        next stage casts positions to cell indices, where a NaN would
+        otherwise turn into an arbitrary index.
+        """
+        for index, container in enumerate(ctx.containers):
+            for tile in container.nonempty_tiles():
+                for name in _PARTICLE_FIELDS:
+                    if not np.all(np.isfinite(getattr(tile, name))):
+                        raise PhysicsHealthError(
+                            f"non-finite particle {name!r} of species "
+                            f"{index} after stage {stage.name!r} of step "
+                            f"{ctx.step_index + 1}"
+                        )
 
     def probe(self, ctx: "StageContext", completed: int) -> None:
         """Run all enabled probes against the just-completed step."""

@@ -1,8 +1,11 @@
 """Tests for the Matrix-PIC deposition framework and the named configurations."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.baselines.configs import (
     ABLATION_CONFIGS,
     CIC_COMPARISON_CONFIGS,
@@ -21,6 +24,7 @@ from repro.core.framework import (
 from repro.core.hybrid_kernel import HybridMPUDeposition
 from repro.core.incremental_sort import TileSortState
 from repro.hardware.cost_model import CostModel
+from repro.workloads import UniformPlasmaWorkload
 
 from helpers import make_plasma
 
@@ -88,6 +92,69 @@ class TestMatrixPICDeposition:
         counters = strategy.run_step(grid, container, 1, 0)
         timing = strategy.timing(counters)
         assert timing.total > 0.0
+
+
+class TestProbeSeam:
+    """Instance-level wrappers see every sorter and kernel call.
+
+    Benchmarks time the sorter and kernel by replacing
+    ``sorter.global_sort_tile``, ``sorter.incremental_update_tile`` and
+    ``kernel.deposit_tile`` on the instances, so the framework must reach
+    them (and the sorter its own resort) through attribute lookup.
+    """
+
+    def test_one_resort_per_migration_touched_tile(self):
+        workload = UniformPlasmaWorkload(n_cell=(8, 8, 8), tile_size=(4, 4, 4),
+                                         ppc=8, shape_order=3, seed=3)
+        with Session.from_workload(
+                workload,
+                deposition=make_strategy("MatrixPIC (FullOpt)")) as session:
+            strategy = session.simulation.deposition
+            calls = Counter()
+
+            def wrap(owner, name):
+                method = getattr(owner, name)
+
+                def call(*args, **kwargs):
+                    calls[name] += 1
+                    return method(*args, **kwargs)
+                setattr(owner, name, call)
+
+            wrap(strategy.sorter, "global_sort_tile")
+            wrap(strategy.sorter, "incremental_update_tile")
+            wrap(strategy.kernel, "deposit_tile")
+
+            seen = {}
+
+            def before_deposit(stage, ctx):
+                if stage.name != "deposit":
+                    return
+                tiles = [tile for container in ctx.containers
+                         for tile in container.nonempty_tiles()]
+                seen["tiles"] = len(tiles)
+                # migration (append/remove) clears a tile's sorter
+                seen["stale"] = sum(
+                    not isinstance(tile.sorter, TileSortState)
+                    or tile.sorter.num_particles != tile.num_particles
+                    for tile in tiles)
+
+            session.pipeline.add_pre_hook(before_deposit)
+            migrated_resorts = 0
+            # thermal motion first carries particles across a tile face
+            # at about step 9 of this run
+            for step in range(12):
+                calls.clear()
+                policy_sorts = strategy.global_sorts_performed
+                session.step()
+                policy_resorts = seen["tiles"] * (
+                    strategy.global_sorts_performed - policy_sorts)
+                assert calls["global_sort_tile"] == (seen["stale"]
+                                                     + policy_resorts)
+                assert calls["incremental_update_tile"] == seen["tiles"]
+                assert calls["deposit_tile"] == seen["tiles"]
+                if step:
+                    migrated_resorts += seen["stale"]
+            assert migrated_resorts > 0
 
 
 class TestNamedConfigurations:

@@ -153,8 +153,9 @@ class TestRhocellBuffer:
     def test_accumulate_and_reduce_shapes(self):
         buf = RhocellBuffer(num_cells=4, order=1)
         assert buf.jx.shape == (4, 8)
-        buf.accumulate(np.array([1, 1]), np.ones((2, 8)), np.zeros((2, 8)),
-                       np.zeros((2, 8)))
+        # contributions are node-major: (nodes_per_cell, particles)
+        buf.accumulate(np.array([1, 1]), np.ones((8, 2)), np.zeros((8, 2)),
+                       np.zeros((8, 2)))
         assert buf.jx[1].sum() == pytest.approx(16.0)
         np.testing.assert_array_equal(buf.occupied_cells(), [1])
 

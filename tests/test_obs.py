@@ -359,6 +359,8 @@ class TestHealth:
         with pytest.raises(PhysicsHealthError, match="energy drift"):
             _run_session(observe)
 
+    # the guard must fire before any NaN position reaches an integer cast
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_guard_aborts(self):
         workload = _workload()
         observe = ObsConfig(health=True)
@@ -366,6 +368,17 @@ class TestHealth:
             session.step()
             session.grid.ex[0, 0, 0] = math.nan
             with pytest.raises(PhysicsHealthError, match="non-finite"):
+                session.step()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_guard_rejects_particles_before_migrate(self):
+        workload = _workload()
+        observe = ObsConfig(health=True, health_every=1000)
+        with Session.from_workload(workload, observe=observe) as session:
+            tile = session.containers[0].nonempty_tiles()[0]
+            tile.ux[0] = math.nan
+            with pytest.raises(PhysicsHealthError,
+                               match="non-finite particle 'x'.*gather_push"):
                 session.step()
 
     def test_health_every_cadence(self):

@@ -278,7 +278,7 @@ class TestConsumers:
         cy = rng.normal(size=(n, nodes))
         cz = rng.normal(size=(n, nodes))
         buf = RhocellBuffer(cells, order=1)
-        buf.accumulate(cell_ids, cx, cy, cz)
+        buf.accumulate(cell_ids, cx.T, cy.T, cz.T)  # node-major input
         for got, contrib in ((buf.jx, cx), (buf.jy, cy), (buf.jz, cz)):
             expected = np.zeros((cells, nodes))
             np.add.at(expected, cell_ids, contrib)
